@@ -20,12 +20,17 @@
 //! by submission (site) index, so the interleaving does not depend on
 //! float coincidences or bucket layout.
 //!
-//! In [`FleetMode::PerSite`] (the default) each site gets **one pipelined
-//! transport** (PR 4), built once on the worker from the job's config —
-//! the politeness gate and in-flight pool live for the site's whole
-//! crawl, and a job's `max_in_flight` turns on intra-site pipelining
-//! inside its fleet slot. Custom transports (retry policies, robots
-//! `Crawl-delay` gates) plug in through [`CrawlSession::with_transport`].
+//! The fleet has three modes, all over the one transport backend — handles
+//! of a [`SharedTransportPool`]. They differ only in how many sites share
+//! a pool and how many threads drive the pools.
+//!
+//! In [`FleetMode::PerSite`] (the default) each site gets **its own
+//! one-site pool** (a lone handle, `PipelinedTransport::new`), built once
+//! on the worker from the job's config — the politeness gate and
+//! in-flight window live for the site's whole crawl, and a job's
+//! `max_in_flight` turns on intra-site pipelining inside its fleet slot.
+//! Custom transports (retry policies, robots `Crawl-delay` gates) plug in
+//! through [`CrawlSession::with_transport`].
 //!
 //! In [`FleetMode::SharedPool`] (PR 5) the fleet instead multiplexes
 //! every session through **one**
@@ -71,14 +76,18 @@
 //! tenancy). Steal timing is the one wall-clock-dependent input, and it
 //! only decides *which shard's clock* a pending site later joins.
 //!
+//! Crawl-and-serve is not a fleet mode: `sb_serve::serve_site` refreshes a
+//! live session's pages through [`CrawlSession::queue_refresh`], and a
+//! session's refresh ledger stays on its own [`CrawlOutcome::refresh`].
+//!
 //! [`SharedTransportPool`]: sb_httpsim::SharedTransportPool
 
-use crate::events::{AbandonCounts, FinishReason, MemGauges, RefreshStats};
+use crate::events::{AbandonCounts, FinishReason, MemGauges};
 use crate::session::{ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
 use crate::strategy::Strategy;
 use parking_lot::Mutex;
 use sb_httpsim::{HttpServer, SharedTransportPool, Traffic};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Shareable server handle: fleets move jobs across threads.
@@ -174,12 +183,6 @@ pub struct FleetOutcome {
     /// [`CrawlOutcome::mem`], i.e. the combined visited-set + frontier
     /// footprint the fleet held at the instant each site finished.
     pub mem: MemGauges,
-    /// Fleet-wide refresh ledger (PR 9) — the merged
-    /// [`CrawlOutcome::refresh`] of every site: refreshes
-    /// scheduled/completed/changed/unchanged/failed, plus the worst
-    /// staleness percentiles any site reported. All-zero outside
-    /// [`FleetMode::Continuous`] unless a job queued refreshes itself.
-    pub refresh: RefreshStats,
     /// Per-shard ledgers (PR 8): one entry per shard thread in
     /// [`FleetMode::Sharded`], empty in the other modes.
     pub shards: Vec<ShardReport>,
@@ -199,8 +202,6 @@ pub struct ShardReport {
     pub mem: MemGauges,
     /// Abandonment tally summed over the shard's sites.
     pub abandoned: AbandonCounts,
-    /// Refresh ledger merged over the shard's sites (PR 9).
-    pub refresh: RefreshStats,
 }
 
 impl FleetOutcome {
@@ -233,8 +234,9 @@ impl FleetOutcome {
 /// How a fleet's sessions reach the wire. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetMode {
-    /// One isolated `PipelinedTransport` per site, sessions dealt over
-    /// worker threads (PR 4). Sites never share in-flight capacity.
+    /// One isolated one-site pool per site (`PipelinedTransport::new`),
+    /// sessions dealt over worker threads (PR 4). Sites never share
+    /// in-flight capacity.
     PerSite,
     /// One `SharedTransportPool` multiplexing a global window of
     /// `max_in_flight` requests across every site, driven on a single
@@ -250,22 +252,6 @@ pub enum FleetMode {
     /// most-loaded backlog once a shard's own sites all drain (PR 8). See
     /// the module docs.
     Sharded { shards: usize, max_in_flight: usize },
-    /// Crawl-and-serve (PR 9): the shared-pool schedule runs a full
-    /// discovery crawl first (with [`CrawlConfig::serve_feed`] forced on,
-    /// so every fetched page is buffered for the serving layer), then
-    /// `refresh_epochs` rounds each re-queueing `refresh_per_epoch`
-    /// refreshes per site — round-robin over that site's known pages in
-    /// first-fetch order — through the *same* pool window, so refresh
-    /// traffic competes with nothing but itself under the same politeness
-    /// gates and budgets as discovery. Refresh outcomes accumulate in
-    /// [`FleetOutcome::refresh`]. The `sb-serve` runtime layers
-    /// policy-driven selection and an evolving origin on top of the same
-    /// session primitives; this mode is the fleet-shaped building block.
-    Continuous {
-        max_in_flight: usize,
-        refresh_epochs: usize,
-        refresh_per_epoch: usize,
-    },
 }
 
 /// The multi-site scheduler. See the module docs.
@@ -299,20 +285,6 @@ impl Fleet {
     /// Shorthand for [`FleetMode::Sharded`].
     pub fn sharded(self, shards: usize, max_in_flight: usize) -> Self {
         self.mode(FleetMode::Sharded { shards, max_in_flight })
-    }
-
-    /// Shorthand for [`FleetMode::Continuous`].
-    pub fn continuous(
-        self,
-        max_in_flight: usize,
-        refresh_epochs: usize,
-        refresh_per_epoch: usize,
-    ) -> Self {
-        self.mode(FleetMode::Continuous {
-            max_in_flight,
-            refresh_epochs,
-            refresh_per_epoch,
-        })
     }
 
     /// Overrides the hash-based site→shard assignment of
@@ -383,24 +355,18 @@ impl Fleet {
             FleetMode::Sharded { shards, max_in_flight } => {
                 run_sharded(self.jobs, shards, max_in_flight, self.assignment)
             }
-            FleetMode::Continuous { max_in_flight, refresh_epochs, refresh_per_epoch } => (
-                drive_continuous(self.jobs, max_in_flight, refresh_epochs, refresh_per_epoch),
-                Vec::new(),
-            ),
         };
 
         let mut traffic = Traffic::default();
         let mut targets = 0u64;
         let mut abandoned = AbandonCounts::default();
         let mut mem = MemGauges::default();
-        let mut refresh = RefreshStats::default();
         for report in &sites {
             if let Ok(o) = &report.outcome {
                 traffic.absorb(&o.traffic);
                 targets += o.targets_found();
                 abandoned.merge(&o.abandoned);
                 mem.merge(&o.mem);
-                refresh.merge(&o.refresh);
             }
         }
         FleetOutcome {
@@ -410,7 +376,6 @@ impl Fleet {
             wall_secs: started.elapsed().as_secs_f64(),
             abandoned,
             mem,
-            refresh,
             shards,
         }
     }
@@ -475,7 +440,7 @@ fn drive_bucket(bucket: Vec<(usize, FleetJob)>) -> Vec<(usize, SiteReport)> {
         .iter_mut()
         .map(|p| {
             // One transport per site for the whole crawl: `new` builds the
-            // job's `PipelinedTransport` (window and politeness from its
+            // job's one-site transport (window and politeness from its
             // config) exactly as a standalone session would, so fleet and
             // solo runs cannot diverge. Jobs needing a custom transport
             // (retries, robots gates) go through
@@ -617,93 +582,6 @@ fn drive_shared(jobs: Vec<FleetJob>, max_in_flight: usize) -> Vec<SiteReport> {
     collect_reports(sessions, names).into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`FleetMode::Continuous`]: one shared pool, a full discovery pass,
-/// then `refresh_epochs` rounds of `refresh_per_epoch` refreshes per
-/// site. The refresh ring is each site's pages in first-fetch order (the
-/// order the serve feed buffered them), holding the latest known body
-/// hash so a refreshed page's changed/unchanged verdict compares against
-/// what the store would actually be serving. Round-robin admission —
-/// policy-driven selection lives in `sb-serve`, not here.
-fn drive_continuous(
-    jobs: Vec<FleetJob>,
-    max_in_flight: usize,
-    refresh_epochs: usize,
-    refresh_per_epoch: usize,
-) -> Vec<SiteReport> {
-    let pool = SharedTransportPool::new(max_in_flight);
-    let mut prepared: Vec<Prepared> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(index, mut job)| {
-            // The serving layer needs every fetched page buffered.
-            job.cfg.serve_feed = true;
-            Prepared::from_job(index, job)
-        })
-        .collect();
-    let names: Vec<(usize, String)> = prepared.iter().map(|p| (p.index, p.name.clone())).collect();
-
-    let mut sessions = pool_sessions(&pool, &mut prepared);
-    drive_pool_schedule(&pool, &mut sessions, 0);
-
-    // Per-site refresh rings: (url, latest body hash), first-fetch order.
-    let mut rings: Vec<Vec<(String, u64)>> = Vec::with_capacity(sessions.len());
-    let mut slots: Vec<HashMap<String, usize>> = Vec::with_capacity(sessions.len());
-    for s in sessions.iter_mut() {
-        let mut ring: Vec<(String, u64)> = Vec::new();
-        let mut slot: HashMap<String, usize> = HashMap::new();
-        if let Ok(session) = s {
-            for page in session.take_refreshed() {
-                match slot.get(&page.url) {
-                    Some(&i) => ring[i].1 = page.body_hash,
-                    None => {
-                        slot.insert(page.url.clone(), ring.len());
-                        ring.push((page.url, page.body_hash));
-                    }
-                }
-            }
-        }
-        rings.push(ring);
-        slots.push(slot);
-    }
-    let mut cursors = vec![0usize; rings.len()];
-
-    for _ in 0..refresh_epochs {
-        for (k, s) in sessions.iter_mut().enumerate() {
-            let Ok(session) = s else { continue };
-            if rings[k].is_empty() {
-                continue;
-            }
-            // `queue_refresh` reopens the finished session; the next
-            // schedule pass drives it back to completion.
-            for _ in 0..refresh_per_epoch {
-                let (url, hash) = &rings[k][cursors[k] % rings[k].len()];
-                session.queue_refresh(url, *hash);
-                cursors[k] += 1;
-            }
-        }
-        drive_pool_schedule(&pool, &mut sessions, 0);
-        for (k, s) in sessions.iter_mut().enumerate() {
-            let Ok(session) = s else { continue };
-            for page in session.take_refreshed() {
-                match slots[k].get(&page.url) {
-                    Some(&i) => rings[k][i].1 = page.body_hash,
-                    None => {
-                        // A refresh harvested a brand-new URL (evolved
-                        // origin): it joins the ring.
-                        slots[k].insert(page.url.clone(), rings[k].len());
-                        rings[k].push((page.url, page.body_hash));
-                    }
-                }
-            }
-        }
-    }
-
-    collect_reports(sessions, names)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
 /// Stable site → shard hash (FxHash over name then submission index):
 /// deterministic across runs and shard counts, so drills and benches see
 /// the same placement every time.
@@ -780,7 +658,6 @@ fn drive_shard(
             if let Ok(o) = &report.outcome {
                 shard_report.mem.merge(&o.mem);
                 shard_report.abandoned.merge(&o.abandoned);
-                shard_report.refresh.merge(&o.refresh);
             }
             reports.push((index, report));
         }

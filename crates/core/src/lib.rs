@@ -15,10 +15,12 @@
 //!   the politeness gate enforced at the transport),
 //! * [`events`] — the [`CrawlObserver`] interface ([`CrawlTrace`] is just
 //!   one observer),
-//! * [`fleet`] — the multi-site [`Fleet`] scheduler: per-site transports
-//!   over worker threads, or one shared transport pool multiplexing a
-//!   global in-flight window across every site
-//!   ([`FleetMode::SharedPool`]),
+//! * [`fleet`] — the multi-site [`Fleet`] scheduler over the one
+//!   transport backend (`sb_httpsim`'s pool handles): a one-site pool per
+//!   site over worker threads ([`FleetMode::PerSite`]), one pool
+//!   multiplexing a global in-flight window across every site
+//!   ([`FleetMode::SharedPool`]), or one pool per shard thread with
+//!   whole-site work stealing ([`FleetMode::Sharded`]),
 //! * [`engine`] — the pre-session compatibility surface ([`crawl`]),
 //! * [`early_stop`] — the Sec 4.8 stopping rule,
 //! * [`trace`] — per-request series and the Table 2/3 metrics.

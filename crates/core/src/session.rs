@@ -607,8 +607,9 @@ pub struct CrawlSession<'a> {
 
 impl<'a> CrawlSession<'a> {
     /// Validates the root and builds a session over a fresh
-    /// [`PipelinedTransport`] for `server` (window and politeness from
-    /// `cfg`). No request is spent until the first [`CrawlSession::step`].
+    /// [`PipelinedTransport`] — the lone handle of a one-site transport
+    /// pool — for `server` (window and politeness from `cfg`). No request
+    /// is spent until the first [`CrawlSession::step`].
     pub fn new(
         server: &'a dyn HttpServer,
         oracle: Option<&'a dyn Oracle>,
@@ -624,8 +625,8 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// As [`CrawlSession::new`] over a caller-built [`Transport`] — custom
-    /// retry policies, robots `Crawl-delay` gates, shared per-site
-    /// transports ([`crate::fleet::Fleet`] uses this). The transport's own
+    /// retry policies, robots `Crawl-delay` gates, handles of a shared
+    /// transport pool ([`crate::fleet::Fleet`] uses this). The transport's own
     /// window wins over [`CrawlConfig::max_in_flight`].
     pub fn with_transport(
         transport: Box<dyn Transport + 'a>,

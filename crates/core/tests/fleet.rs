@@ -925,60 +925,3 @@ fn multi_shard_shutdown_drains_in_flight_selections_per_shard() {
         }
     }
 }
-
-/// PR 9: [`FleetMode::Continuous`] — the crawl-and-serve building block.
-/// Discovery coverage must match the plain shared-pool fleet at the same
-/// window (the serve feed is a buffer, not a behaviour change), the
-/// fleet-wide refresh ledger must be exactly the merge of the per-site
-/// ledgers, a static origin must report every refresh `unchanged`, and
-/// the whole thing must be run-to-run deterministic.
-#[test]
-fn continuous_mode_refreshes_and_merges_ledgers() {
-    let sites: Vec<Arc<Website>> = fleet_sites().into_iter().take(3).collect();
-    let (epochs, per_epoch) = (3usize, 5usize);
-    let mode = FleetMode::Continuous {
-        max_in_flight: 4,
-        refresh_epochs: epochs,
-        refresh_per_epoch: per_epoch,
-    };
-    let run = || build_fleet(&sites, 2, Budget::Unlimited, mode, None).run();
-    let out = run();
-    assert_eq!(out.sites.len(), sites.len());
-
-    // Discovery is untouched by the serve feed and the refresh rounds:
-    // targets and page coverage match the plain shared-pool fleet.
-    let base = run_fleet_mode(&sites, 2, Budget::Unlimited, FleetMode::SharedPool {
-        max_in_flight: 4,
-    });
-    for (r, b) in site_outcomes(&out).iter().zip(&base) {
-        assert_eq!(r.summary.targets, b.summary.targets, "{}: same targets", r.summary.name);
-        // Refresh traffic rides the same sessions, on top of discovery:
-        // each completed refresh is one more fetched page and request.
-        let refreshes = (epochs * per_epoch) as u64;
-        assert_eq!(r.summary.pages_crawled, b.summary.pages_crawled + refreshes);
-        assert!(r.summary.requests >= b.summary.requests + refreshes, "refreshes cost requests");
-    }
-
-    // The ledger adds up: every queued refresh dispatched (unlimited
-    // budget), and a static origin never reports a change.
-    let want = (sites.len() * epochs * per_epoch) as u64;
-    assert_eq!(out.refresh.scheduled, want);
-    assert_eq!(out.refresh.completed, want);
-    assert_eq!(out.refresh.unchanged, want);
-    assert_eq!(out.refresh.changed, 0);
-    assert_eq!(out.refresh.failed, 0);
-
-    // Fleet-wide ledger == merge of the per-site ledgers.
-    let mut merged = sb_crawler::RefreshStats::default();
-    for r in &out.sites {
-        merged.merge(&r.expect_outcome().refresh);
-    }
-    assert_eq!(out.refresh, merged);
-
-    // Deterministic across runs.
-    let again = run();
-    assert_eq!(out.refresh, again.refresh);
-    for (a, b) in site_outcomes(&out).iter().zip(site_outcomes(&again).iter()) {
-        assert_eq!(a.summary, b.summary);
-    }
-}

@@ -1,8 +1,10 @@
 //! The hostile-web conformance suite (PR 6), mirroring the `Transport`
 //! conformance suite's shape: every bounded-waste invariant is written
-//! once against (strategy kind × hazard profile × transport backend) and
-//! macro-instantiated over the full cross product, so a new strategy or
-//! backend inherits the whole hostile scenario pack for free.
+//! once against (strategy kind × hazard profile) and macro-instantiated
+//! over the cross product, so a new strategy inherits the whole hostile
+//! scenario pack for free. The transport is the one backend, a lone pool
+//! handle (`PipelinedTransport`) — a handle of a caller-built pool is the
+//! same type, pinned equivalent by the `Transport` conformance suite.
 //!
 //! For every combination the scenario run asserts:
 //!
@@ -32,7 +34,7 @@ use sb_crawler::{EventLog, OwnedEvent, Strategy};
 use sb_httpsim::transport::Transport;
 use sb_httpsim::{
     FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
-    SharedTransportPool, SiteServer, TailLatency,
+    SiteServer, TailLatency,
 };
 use sb_webgraph::gen::hazard::{apply_hazards, HazardReport, HazardSpec};
 use sb_webgraph::gen::{build_site, SiteSpec};
@@ -118,15 +120,7 @@ impl Hazard {
     }
 }
 
-/// Builds the transport backend under test.
-type Build = for<'a> fn(
-    &'a (dyn HttpServer + 'a),
-    Politeness,
-    usize,
-    RetryPolicy,
-    HazardPolicy,
-) -> Box<dyn Transport + 'a>;
-
+/// Builds the transport under test.
 fn build_pipelined<'a>(
     server: &'a (dyn HttpServer + 'a),
     politeness: Politeness,
@@ -137,21 +131,6 @@ fn build_pipelined<'a>(
     Box::new(
         PipelinedTransport::new(server, MimePolicy::default(), politeness)
             .with_window(window)
-            .with_retry_policy(retry)
-            .with_hazards(hazards),
-    )
-}
-
-fn build_pool_handle<'a>(
-    server: &'a (dyn HttpServer + 'a),
-    politeness: Politeness,
-    window: usize,
-    retry: RetryPolicy,
-    hazards: HazardPolicy,
-) -> Box<dyn Transport + 'a> {
-    let pool = SharedTransportPool::new(window);
-    Box::new(
-        pool.handle(server, MimePolicy::default(), politeness)
             .with_retry_policy(retry)
             .with_hazards(hazards),
     )
@@ -191,13 +170,12 @@ struct RunResult {
     fetched: Vec<(String, u16)>,
 }
 
-/// One crawl of `site` under the given budget/window/backend, with the
+/// One crawl of `site` under the given budget and window, with the
 /// hazard profile's transport policies applied and every `Fetched` event
 /// collected.
 fn run(
     h: Hazard,
     s: Strat,
-    build: Build,
     site: &Arc<Website>,
     budget: Budget,
     window: usize,
@@ -215,7 +193,8 @@ fn run(
     };
     let root = site.page(site.root()).url.clone();
     let host = root.split('/').nth(2).unwrap_or_default().to_owned();
-    let transport = build(server, politeness(), window, h.retry_policy(), h.hazard_policy(&host));
+    let transport =
+        build_pipelined(server, politeness(), window, h.retry_policy(), h.hazard_policy(&host));
     let (mut strategy, needs_oracle) = s.build();
     let oracle = needs_oracle.then_some(site.as_ref() as &dyn Oracle);
     let cfg = CrawlConfig { budget, max_in_flight: window, ..Default::default() };
@@ -236,12 +215,12 @@ fn run(
     RunResult { outcome, fetched }
 }
 
-/// The full invariant check for one (strategy, hazard, backend) cell.
-fn check_scenario(s: Strat, h: Hazard, build: Build) {
+/// The full invariant check for one (strategy, hazard) cell.
+fn check_scenario(s: Strat, h: Hazard) {
     let (site, report) = hazard_site(h);
 
     // --- Budgeted run: termination, budget honesty, bounded waste. ---
-    let r = run(h, s, build, &site, Budget::Requests(BUDGET), WINDOW);
+    let r = run(h, s, &site, Budget::Requests(BUDGET), WINDOW);
     // Termination is implied by `run` returning; the reason must be a
     // natural one.
     let reason = r.outcome.finish_reason;
@@ -275,8 +254,8 @@ fn check_scenario(s: Strat, h: Hazard, build: Build) {
         return; // transport-level hazards leave no subspace to compare
     }
     let clean = clean_site();
-    let base = run(h, s, build, &clean, Budget::Unlimited, 1);
-    let hazy = run(h, s, build, &site, Budget::Unlimited, 1);
+    let base = run(h, s, &clean, Budget::Unlimited, 1);
+    let hazy = run(h, s, &site, Budget::Unlimited, 1);
     let clean_urls = |rr: &RunResult| -> BTreeSet<String> {
         rr.fetched
             .iter()
@@ -300,47 +279,32 @@ fn check_scenario(s: Strat, h: Hazard, build: Build) {
 }
 
 macro_rules! scenario_tests {
-    ($($name:ident: ($s:expr, $h:expr, $b:expr),)+) => {
+    ($($name:ident: ($s:expr, $h:expr),)+) => {
         $(
             #[test]
             fn $name() {
-                check_scenario($s, $h, $b);
+                check_scenario($s, $h);
             }
         )+
     };
 }
 
 scenario_tests! {
-    bfs_trap_pipelined: (Strat::Bfs, Hazard::Trap, build_pipelined),
-    bfs_trap_pool: (Strat::Bfs, Hazard::Trap, build_pool_handle),
-    bfs_redirects_pipelined: (Strat::Bfs, Hazard::Redirects, build_pipelined),
-    bfs_redirects_pool: (Strat::Bfs, Hazard::Redirects, build_pool_handle),
-    bfs_soft404_pipelined: (Strat::Bfs, Hazard::Soft404, build_pipelined),
-    bfs_soft404_pool: (Strat::Bfs, Hazard::Soft404, build_pool_handle),
-    bfs_flaky_pipelined: (Strat::Bfs, Hazard::Flaky, build_pipelined),
-    bfs_flaky_pool: (Strat::Bfs, Hazard::Flaky, build_pool_handle),
-    bfs_slow_pipelined: (Strat::Bfs, Hazard::SlowHost, build_pipelined),
-    bfs_slow_pool: (Strat::Bfs, Hazard::SlowHost, build_pool_handle),
-    sb_trap_pipelined: (Strat::Sb, Hazard::Trap, build_pipelined),
-    sb_trap_pool: (Strat::Sb, Hazard::Trap, build_pool_handle),
-    sb_redirects_pipelined: (Strat::Sb, Hazard::Redirects, build_pipelined),
-    sb_redirects_pool: (Strat::Sb, Hazard::Redirects, build_pool_handle),
-    sb_soft404_pipelined: (Strat::Sb, Hazard::Soft404, build_pipelined),
-    sb_soft404_pool: (Strat::Sb, Hazard::Soft404, build_pool_handle),
-    sb_flaky_pipelined: (Strat::Sb, Hazard::Flaky, build_pipelined),
-    sb_flaky_pool: (Strat::Sb, Hazard::Flaky, build_pool_handle),
-    sb_slow_pipelined: (Strat::Sb, Hazard::SlowHost, build_pipelined),
-    sb_slow_pool: (Strat::Sb, Hazard::SlowHost, build_pool_handle),
-    tres_trap_pipelined: (Strat::Tres, Hazard::Trap, build_pipelined),
-    tres_trap_pool: (Strat::Tres, Hazard::Trap, build_pool_handle),
-    tres_redirects_pipelined: (Strat::Tres, Hazard::Redirects, build_pipelined),
-    tres_redirects_pool: (Strat::Tres, Hazard::Redirects, build_pool_handle),
-    tres_soft404_pipelined: (Strat::Tres, Hazard::Soft404, build_pipelined),
-    tres_soft404_pool: (Strat::Tres, Hazard::Soft404, build_pool_handle),
-    tres_flaky_pipelined: (Strat::Tres, Hazard::Flaky, build_pipelined),
-    tres_flaky_pool: (Strat::Tres, Hazard::Flaky, build_pool_handle),
-    tres_slow_pipelined: (Strat::Tres, Hazard::SlowHost, build_pipelined),
-    tres_slow_pool: (Strat::Tres, Hazard::SlowHost, build_pool_handle),
+    bfs_trap_pipelined: (Strat::Bfs, Hazard::Trap),
+    bfs_redirects_pipelined: (Strat::Bfs, Hazard::Redirects),
+    bfs_soft404_pipelined: (Strat::Bfs, Hazard::Soft404),
+    bfs_flaky_pipelined: (Strat::Bfs, Hazard::Flaky),
+    bfs_slow_pipelined: (Strat::Bfs, Hazard::SlowHost),
+    sb_trap_pipelined: (Strat::Sb, Hazard::Trap),
+    sb_redirects_pipelined: (Strat::Sb, Hazard::Redirects),
+    sb_soft404_pipelined: (Strat::Sb, Hazard::Soft404),
+    sb_flaky_pipelined: (Strat::Sb, Hazard::Flaky),
+    sb_slow_pipelined: (Strat::Sb, Hazard::SlowHost),
+    tres_trap_pipelined: (Strat::Tres, Hazard::Trap),
+    tres_redirects_pipelined: (Strat::Tres, Hazard::Redirects),
+    tres_soft404_pipelined: (Strat::Tres, Hazard::Soft404),
+    tres_flaky_pipelined: (Strat::Tres, Hazard::Flaky),
+    tres_slow_pipelined: (Strat::Tres, Hazard::SlowHost),
 }
 
 // ----------------------------------------------------------------------
@@ -350,14 +314,15 @@ scenario_tests! {
 /// Retries re-enter the politeness gate like any dispatch: n charged GETs
 /// to one host can never complete in less than (n-1)·delay of simulated
 /// time, backoff or not.
-fn check_backoff_respects_gate(build: Build) {
+#[test]
+fn backoff_respects_gate_pipelined() {
     let site = clean_site();
     let root = site.page(site.root()).url.clone();
     let flaky = FlakyServer::new(SiteServer::shared(site.clone()), 0.4, 21)
         .recoverable()
         .protecting(&root);
     let politeness = Politeness { delay_secs: 1.0, bytes_per_sec: 4_000_000.0 };
-    let transport = build(
+    let transport = build_pipelined(
         &flaky,
         politeness,
         WINDOW,
@@ -379,16 +344,6 @@ fn check_backoff_respects_gate(build: Build) {
         outcome.traffic.elapsed_secs,
         gets - 1
     );
-}
-
-#[test]
-fn backoff_respects_gate_pipelined() {
-    check_backoff_respects_gate(build_pipelined);
-}
-
-#[test]
-fn backoff_respects_gate_pool() {
-    check_backoff_respects_gate(build_pool_handle);
 }
 
 // ----------------------------------------------------------------------

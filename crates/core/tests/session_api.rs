@@ -580,3 +580,56 @@ fn link_decisions_are_visible_to_observers() {
         .count();
     assert_eq!(enqueued, 6, "the root page links six URLs, all enqueued by BFS");
 }
+
+// ---------------------------------------------------------------------
+// Refresh on a live session (PR 9).
+// ---------------------------------------------------------------------
+
+/// `queue_refresh` reopens a drained session and rides its window: the
+/// serve feed buffers pages without changing discovery, N refreshes of a
+/// static origin all come back `unchanged`, and each completed refresh
+/// is exactly one more fetched page.
+#[test]
+fn refreshes_reopen_a_drained_session_and_fill_the_ledger() {
+    const REFRESHES: u64 = 15;
+    let site = build_site(&SiteSpec::demo(300), 5);
+    let root = site.page(site.root()).url.clone();
+    let server = SiteServer::new(site);
+    let targets = |out: &sb_crawler::CrawlOutcome| -> Vec<String> {
+        out.targets.iter().map(|t| t.url.clone()).collect()
+    };
+
+    let plain_cfg = CrawlConfig { max_in_flight: 4, ..Default::default() };
+    let mut bfs = QueueStrategy::bfs();
+    let plain = CrawlSession::new(&server, None, &root, &mut bfs, &plain_cfg).unwrap().run();
+
+    let cfg = CrawlConfig { serve_feed: true, ..plain_cfg };
+    let mut bfs = QueueStrategy::bfs();
+    let mut session = CrawlSession::new(&server, None, &root, &mut bfs, &cfg).unwrap();
+    while !session.is_finished() {
+        session.step();
+    }
+    let discovery_pages = session.pages_crawled();
+    let fed: Vec<(String, u64)> =
+        session.take_refreshed().into_iter().map(|p| (p.url, p.body_hash)).collect();
+    assert!(!fed.is_empty(), "the serve feed buffers discovery fetches");
+
+    for (url, hash) in fed.iter().cycle().take(REFRESHES as usize) {
+        session.queue_refresh(url, *hash);
+    }
+    assert!(!session.is_finished(), "a queued refresh reopens the session");
+    while !session.is_finished() {
+        session.step();
+    }
+    let refreshed = session.take_refreshed();
+    assert_eq!(refreshed.len() as u64, REFRESHES);
+    assert!(refreshed.iter().all(|p| p.refresh && !p.changed));
+    let out = session.finish();
+
+    assert_eq!(targets(&out), targets(&plain), "the serve feed does not change discovery");
+    assert_eq!(discovery_pages, plain.pages_crawled);
+    assert_eq!(out.pages_crawled, plain.pages_crawled + REFRESHES);
+    let r = out.refresh;
+    assert_eq!((r.scheduled, r.completed, r.unchanged), (REFRESHES, REFRESHES, REFRESHES));
+    assert_eq!((r.changed, r.failed), (0, 0));
+}

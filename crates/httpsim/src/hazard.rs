@@ -5,12 +5,11 @@
 //! per-host circuit breaker that quarantines hosts after K consecutive
 //! hard failures.
 //!
-//! Both transport backends — [`crate::PipelinedTransport`] and
-//! [`crate::PoolHandle`] — execute every GET through the single
-//! [`dispatch_hazard_get`] loop in this module, so hazard semantics,
-//! retry/backoff arithmetic and breaker bookkeeping cannot drift between
-//! them (the same reasoning that keeps the politeness
-//! [`GateTable`](crate::transport) shared).
+//! The transport backend — [`crate::PoolHandle`], whether a lone handle
+//! ([`crate::PipelinedTransport`]) or one site of a fleet pool — executes
+//! every GET through the single `dispatch_hazard_get` loop in this
+//! module, over the handle's own politeness
+//! [`GateTable`](crate::transport) and [`HazardState`] shard.
 //!
 //! ## Simulated-time semantics
 //!

@@ -1,26 +1,25 @@
-//! The shared fleet transport pool: one bounded in-flight window
-//! multiplexed across every host of a multi-site crawl (PR 5).
+//! The transport pool: one bounded in-flight window multiplexed across
+//! every host of a crawl — a single site or a whole fleet (PR 5).
 //!
-//! PR 4's [`PipelinedTransport`](crate::transport::PipelinedTransport)
-//! pipelines *within* one site, but a fleet built on it holds N isolated
-//! windows: a site stalled behind its politeness gate cannot lend its
-//! idle connection slots to anyone else. Production frontiers (BUbiNG's
-//! massive-scale design, and every host-sharded multi-queue crawler
-//! since) share one global fetch pool and shard only the *politeness*
-//! state per host. [`SharedTransportPool`] reproduces that shape over the
-//! simulation:
+//! Production frontiers (BUbiNG's massive-scale design, and every
+//! host-sharded multi-queue crawler since) share one global fetch pool
+//! and shard only the *politeness* state per host, so a site stalled
+//! behind its politeness gate lends its idle connection slots to the
+//! others. [`SharedTransportPool`] reproduces that shape over the
+//! simulation, and is the workspace's only nonblocking backend: a
+//! single-site crawl is a lone [`PoolHandle`] ([`PoolHandle::new`], alias
+//! [`PipelinedTransport`](crate::transport::PipelinedTransport)).
 //!
 //! * the pool owns the **global window** ([`SharedTransportPool::new`]'s
 //!   `max_in_flight`) and the **shared simulated clock**; politeness
 //!   state is **sharded per handle** — each site's `GateTable` (its
 //!   hosts' gates plus any robots `Crawl-delay` override) is private to
-//!   its handle, exactly as it is under per-site transports. Two sites
-//!   therefore dispatch concurrently while each site's own dispatches
-//!   stay politeness-spaced. (Sharding by handle rather than by raw
-//!   hostname string is deliberate: generated sites reuse synthetic
-//!   hostnames, and each fleet job is a distinct origin regardless of
-//!   what its URL strings say — string-matching hosts across handles
-//!   would falsely couple unrelated sites.);
+//!   its handle. Two sites therefore dispatch concurrently while each
+//!   site's own dispatches stay politeness-spaced. (Sharding by handle
+//!   rather than by raw hostname string is deliberate: generated sites
+//!   reuse synthetic hostnames, and each fleet job is a distinct origin
+//!   regardless of what its URL strings say — string-matching hosts
+//!   across handles would falsely couple unrelated sites.);
 //! * each site gets a [`PoolHandle`] ([`SharedTransportPool::handle`]) —
 //!   a full [`Transport`] a [`CrawlSession`] can own without owning the
 //!   pool. The handle carries the site's server, MIME policy, politeness
@@ -46,9 +45,11 @@
 //! window ≥ the host count lets every politeness gate tick concurrently
 //! and the makespan approaches the slowest single host.
 //!
-//! With one handle and any window, a `PoolHandle` is behaviour-identical
-//! to a `PipelinedTransport` of the same window — both backends are
-//! pinned by the conformance suite (`tests/transport_conformance.rs`).
+//! With one handle the shared clock is the site's own clock, and at
+//! window 1 the handle's accounting telescopes to the blocking
+//! [`crate::Client`]'s serial sum. Both constructors — the lone handle
+//! and a handle of a caller-built pool, with or without idle siblings —
+//! are pinned by the conformance suite (`tests/transport_conformance.rs`).
 //!
 //! ## Threading model (PR 8)
 //!
@@ -74,9 +75,9 @@ use parking_lot::Mutex;
 use sb_webgraph::mime::MimePolicy;
 use std::sync::Arc;
 
-/// One fleet-wide in-flight request. As in the single-site transport, the
-/// answer is computed eagerly at dispatch (the simulated origin is
-/// synchronous); only the delivery is deferred to its simulated arrival.
+/// One in-flight request. The answer is computed eagerly at dispatch (the
+/// simulated origin is synchronous); only the delivery is deferred to its
+/// simulated arrival.
 struct PoolEntry {
     id: RequestId,
     site: usize,
@@ -239,36 +240,55 @@ pub struct PoolHandle<'a> {
 }
 
 impl<'a> PoolHandle<'a> {
+    /// The single-site transport: the lone handle of a fresh one-site
+    /// pool, at window 1 with no retries — the drop-in equivalent of the
+    /// blocking [`crate::Client`]. Widen it with [`PoolHandle::with_window`].
+    pub fn new(
+        server: &'a (dyn HttpServer + 'a),
+        policy: MimePolicy,
+        politeness: Politeness,
+    ) -> Self {
+        SharedTransportPool::new(1).handle(server, policy, politeness)
+    }
+
+    /// Sets the pool's in-flight window (clamped to ≥ 1). Only for a
+    /// lone handle ([`PoolHandle::new`]): on a shared pool the window is
+    /// every site's, so it is fixed at [`SharedTransportPool::new`].
+    pub fn with_window(self, window: usize) -> Self {
+        {
+            let mut core = self.core.lock();
+            debug_assert_eq!(
+                core.site_elapsed.len(),
+                1,
+                "with_window on a pool with several handles"
+            );
+            core.window = window.max(1);
+        }
+        self
+    }
+
     /// Re-dispatches 5xx answers up to `retries` extra attempts through
-    /// the shared gate; every attempt is charged at delivery (same
-    /// contract as `PipelinedTransport::with_retries`).
+    /// the gate. Every attempt is charged at delivery, so a
+    /// `Budget::Requests` session over a retrying transport may finish up
+    /// to one attempt per retried in-flight request past its budget (the
+    /// check sees one request per submission; the sequential engine has
+    /// the same one-request check-to-charge gap).
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retry.max_retries = retries;
         self
     }
 
-    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker);
-    /// same contract as `PipelinedTransport::with_retry_policy`.
+    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Installs a [`HazardPolicy`] on this handle's GET path; same
-    /// contract as `PipelinedTransport::with_hazards`.
+    /// Installs a [`HazardPolicy`] (timeouts, tail latency, bandwidth
+    /// caps, 429 rate limiting) on this handle's GET path.
     pub fn with_hazards(mut self, hazards: HazardPolicy) -> Self {
         self.hazards = hazards;
         self
-    }
-
-    /// Hosts of this handle quarantined by the circuit breaker so far.
-    pub fn quarantined_hosts(&self) -> usize {
-        self.hazard_state.quarantined_hosts()
-    }
-
-    /// The pool site index this handle was registered as.
-    pub fn site(&self) -> usize {
-        self.site
     }
 
     /// Executes a GET through the shared hazard-aware dispatch loop
@@ -589,6 +609,17 @@ mod tests {
         hb.submit(Request::get(&ub[0]));
         drain(&mut hb);
         assert!(pool.site_elapsed(1) >= pool.site_elapsed(0), "shared clock is monotone");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "several handles")]
+    fn with_window_rejects_a_shared_pool() {
+        let (a, b) = (server(120, 1), server(120, 2));
+        let pool = SharedTransportPool::new(2);
+        let _ha = pool.handle(&a, MimePolicy::default(), Politeness::default());
+        let hb = pool.handle(&b, MimePolicy::default(), Politeness::default());
+        let _ = hb.with_window(8);
     }
 
     #[test]

@@ -45,32 +45,28 @@
 //! clock at the last delivered completion (the makespan so far), not the
 //! serial sum — at window 1 the two coincide.
 //!
-//! ## Retries
+//! ## One backend
 //!
-//! [`PipelinedTransport::with_retries`] re-dispatches 5xx answers through
-//! the gate up to `n` extra attempts before delivering the final answer;
-//! every attempt is charged (requests and wire bytes). Off by default so
-//! the window-1 replay stays byte-identical; with a recoverable
-//! [`crate::FlakyServer`] upstream, one retry turns transient 503 bursts
-//! into ordinary (slower) successes.
-//!
-//! The full hazard-aware dispatch loop — capped exponential backoff with
-//! seeded jitter ([`crate::hazard::RetryPolicy`]), timeouts, heavy-tailed
-//! latency, bandwidth caps and 429 rate limiting
-//! ([`crate::hazard::HazardPolicy`]), and the per-host circuit breaker —
-//! lives in [`crate::hazard`] and is shared with the fleet pool, so the
-//! two backends cannot drift (PR 6).
+//! The only implementation is [`crate::pool::PoolHandle`]: one site's view
+//! of a [`crate::SharedTransportPool`]. [`PipelinedTransport`] is kept as
+//! the single-site name for it — [`PoolHandle::new`] registers the handle
+//! as the lone tenant of a fresh one-site pool, so the pool's global
+//! window *is* the site's window and its shared clock the site's clock.
+//! The per-host politeness gates (`GateTable`) and the hazard-aware
+//! dispatch loop ([`crate::hazard`]'s `dispatch_hazard_get`: retries with
+//! capped exponential backoff and seeded jitter, timeouts, heavy-tailed
+//! latency, bandwidth caps, 429 rate limiting and the per-host circuit
+//! breaker) are defined once and used by every handle.
 
-use crate::client::{settle_get, Fetched, Politeness, Traffic};
-use crate::hazard::{dispatch_hazard_get, DispatchCtx, HazardPolicy, HazardState, RetryPolicy};
+use crate::client::{Fetched, Politeness, Traffic};
+use crate::pool::PoolHandle;
 use crate::response::HeadResponse;
 use crate::robots::RobotsTxt;
-use crate::server::HttpServer;
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::FxHashMap;
 
 /// Identifies one submitted request; ascending in submission order, unique
-/// per transport instance.
+/// per pool.
 pub type RequestId = u64;
 
 /// A fetch to hand to [`Transport::submit`]. Borrowed: the transport reads
@@ -88,8 +84,8 @@ impl<'u> Request<'u> {
 }
 
 /// The nonblocking fetch boundary. See the module docs; the simulated
-/// single-site implementation is [`PipelinedTransport`] and the fleet-wide
-/// one is [`crate::pool::SharedTransportPool`]. Every implementation must
+/// implementation is [`crate::pool::PoolHandle`] (alias
+/// [`PipelinedTransport`] for a lone handle). Every implementation must
 /// uphold the invariants of the conformance suite
 /// (`tests/transport_conformance.rs`): politeness gate spacing,
 /// deterministic completion order, window-1 equivalence with the blocking
@@ -167,19 +163,6 @@ pub trait Transport {
     }
 }
 
-/// One request in the pool: the answer is computed eagerly at dispatch
-/// (the simulated origin is synchronous); only the *delivery* is deferred
-/// to its simulated arrival instant.
-struct InFlightReq {
-    id: RequestId,
-    arrival: f64,
-    answer: Fetched,
-    /// GET attempts this request consumed (retries included).
-    gets: u64,
-    /// Total wire bytes across all attempts.
-    wire: u64,
-}
-
 /// Per-host politeness state.
 #[derive(Default)]
 struct HostGate {
@@ -190,10 +173,9 @@ struct HostGate {
     min_delay: Option<f64>,
 }
 
-/// The per-host politeness gates, shared by [`PipelinedTransport`] and
-/// [`crate::pool::SharedTransportPool`] so the two backends cannot drift:
-/// same key folding, same `Crawl-delay` override rule, same
-/// `start/gate/arrival` arithmetic.
+/// The per-host politeness gates of one [`crate::pool::PoolHandle`]: key
+/// folding, the `Crawl-delay` override rule and the
+/// `start/gate/arrival` arithmetic, also used by the hazard dispatch loop.
 #[derive(Default)]
 pub(crate) struct GateTable {
     gates: FxHashMap<String, HostGate>,
@@ -239,206 +221,11 @@ impl GateTable {
     }
 }
 
-/// The simulated [`Transport`]: a bounded in-flight pool over any
-/// [`HttpServer`] with per-host politeness gating and deterministic
-/// completion ordering.
-pub struct PipelinedTransport<'a> {
-    server: &'a (dyn HttpServer + 'a),
-    policy: MimePolicy,
-    politeness: Politeness,
-    window: usize,
-    retry: RetryPolicy,
-    hazards: HazardPolicy,
-    hazard_state: HazardState,
-    /// Simulated now: the arrival of the last delivered completion (or the
-    /// last synchronous request).
-    clock: f64,
-    traffic: Traffic,
-    next_id: RequestId,
-    inflight: Vec<InFlightReq>,
-    gates: GateTable,
-}
-
-impl<'a> PipelinedTransport<'a> {
-    /// A transport over `server` with a window of 1 and no retries — the
-    /// drop-in equivalent of the blocking [`crate::Client`].
-    pub fn new(
-        server: &'a (dyn HttpServer + 'a),
-        policy: MimePolicy,
-        politeness: Politeness,
-    ) -> Self {
-        PipelinedTransport {
-            server,
-            policy,
-            politeness,
-            window: 1,
-            retry: RetryPolicy::retries(0),
-            hazards: HazardPolicy::default(),
-            hazard_state: HazardState::default(),
-            clock: 0.0,
-            traffic: Traffic::default(),
-            next_id: 0,
-            inflight: Vec::new(),
-            gates: GateTable::default(),
-        }
-    }
-
-    /// Sets the in-flight window (clamped to ≥ 1).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
-    /// Re-dispatches 5xx answers up to `retries` extra attempts. Every
-    /// attempt is charged at delivery, so a `Budget::Requests` session
-    /// over a retrying transport may finish up to one attempt per
-    /// retried in-flight request past its budget (the check sees one
-    /// request per submission; the sequential engine has the same
-    /// one-request check-to-charge gap).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retry.max_retries = retries;
-        self
-    }
-
-    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Installs a [`HazardPolicy`] (timeouts, tail latency, bandwidth
-    /// caps, 429 rate limiting) on the GET path.
-    pub fn with_hazards(mut self, hazards: HazardPolicy) -> Self {
-        self.hazards = hazards;
-        self
-    }
-
-    /// Hosts quarantined by the circuit breaker so far.
-    pub fn quarantined_hosts(&self) -> usize {
-        self.hazard_state.quarantined_hosts()
-    }
-
-    /// The simulated clock (arrival of the last delivered completion).
-    pub fn clock_secs(&self) -> f64 {
-        self.clock
-    }
-
-    /// One dispatch through the shared [`GateTable`].
-    fn gate_dispatch(&mut self, url: &str, ready_at: f64, wire: u64) -> (f64, f64) {
-        self.gates.dispatch(&self.politeness, url, ready_at, wire)
-    }
-
-    /// Executes a GET through the shared hazard-aware dispatch loop
-    /// ([`crate::hazard::dispatch_hazard_get`]) and returns the final
-    /// answer with its cumulative accounting and arrival instant.
-    fn dispatch_get(&mut self, url: &str) -> (Fetched, u64, u64, f64) {
-        let mut ctx = DispatchCtx {
-            server: self.server,
-            policy: &self.policy,
-            politeness: &self.politeness,
-            gates: &mut self.gates,
-            hazards: &self.hazards,
-            retry: &self.retry,
-            state: &mut self.hazard_state,
-        };
-        let out = dispatch_hazard_get(&mut ctx, url, self.clock);
-        (out.answer, out.gets, out.wire, out.arrival)
-    }
-
-    fn charge_delivery(&mut self, gets: u64, wire: u64, arrival: f64) {
-        self.clock = self.clock.max(arrival);
-        self.traffic.get_requests += gets;
-        self.traffic.non_target_bytes += wire;
-        self.traffic.elapsed_secs = self.clock;
-    }
-}
-
-impl Transport for PipelinedTransport<'_> {
-    fn submit(&mut self, req: Request<'_>) -> RequestId {
-        debug_assert!(
-            self.inflight.len() < self.window,
-            "submit beyond the in-flight window (window {})",
-            self.window
-        );
-        let id = self.next_id;
-        self.next_id += 1;
-        let (answer, gets, wire, arrival) = self.dispatch_get(req.url);
-        self.inflight.push(InFlightReq { id, arrival, answer, gets, wire });
-        id
-    }
-
-    fn poll_into(&mut self, out: &mut Vec<(RequestId, Fetched)>) {
-        out.clear();
-        if self.inflight.is_empty() {
-            return;
-        }
-        // Deterministic completion order: arrival, ties by submission id.
-        // Sorting the pool in place keeps the due requests a drainable
-        // prefix — no temporary buffer, no shifting removals (this runs
-        // once per engine pump; the caller already reuses `out`).
-        self.inflight.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-        // Advance to the next completion instant (never backwards: a
-        // synchronous HEAD may already have pushed the clock past several
-        // arrivals) and deliver everything due by then.
-        let horizon = self.clock.max(self.inflight[0].arrival);
-        let due = self.inflight.partition_point(|r| r.arrival <= horizon);
-        for r in &self.inflight[..due] {
-            self.clock = self.clock.max(r.arrival);
-            self.traffic.get_requests += r.gets;
-            self.traffic.non_target_bytes += r.wire;
-        }
-        self.traffic.elapsed_secs = self.clock;
-        out.extend(self.inflight.drain(..due).map(|r| (r.id, r.answer)));
-    }
-
-    fn head(&mut self, url: &str) -> HeadResponse {
-        let r = self.server.head(url);
-        let wire = r.wire_size();
-        let (_, arrival) = self.gate_dispatch(url, self.clock, wire);
-        self.clock = arrival;
-        self.traffic.head_requests += 1;
-        self.traffic.non_target_bytes += wire;
-        self.traffic.elapsed_secs = self.clock;
-        r
-    }
-
-    fn fetch_now(&mut self, url: &str) -> Fetched {
-        let f = settle_get(self.server.get(url), &self.policy);
-        let (_, arrival) = self.gate_dispatch(url, self.clock, f.wire_bytes);
-        self.charge_delivery(1, f.wire_bytes, arrival);
-        f
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn in_flight_bytes(&self) -> u64 {
-        self.inflight.iter().map(|r| r.wire).sum()
-    }
-
-    fn max_in_flight(&self) -> usize {
-        self.window
-    }
-
-    fn traffic(&self) -> Traffic {
-        self.traffic
-    }
-
-    fn tag_target(&mut self, bytes: u64) {
-        let moved = bytes.min(self.traffic.non_target_bytes);
-        self.traffic.non_target_bytes -= moved;
-        self.traffic.target_bytes += moved;
-    }
-
-    fn policy(&self) -> &MimePolicy {
-        &self.policy
-    }
-
-    fn set_host_min_delay(&mut self, host: &str, delay_secs: f64) {
-        self.gates.set_host_min_delay(host, delay_secs);
-    }
-}
+/// The single-site [`Transport`]: a lone handle of a fresh one-site
+/// [`crate::SharedTransportPool`]. [`PoolHandle::new`] builds it at
+/// window 1 with no retries — the drop-in equivalent of the blocking
+/// [`crate::Client`] — and [`PoolHandle::with_window`] widens it.
+pub type PipelinedTransport<'a> = PoolHandle<'a>;
 
 /// The host component of an absolute http(s) URL, without allocating.
 /// Interned URLs are already canonical (lowercased host), so the slice is
@@ -474,165 +261,6 @@ mod tests {
             .map(|p| p.url.clone())
             .take(n)
             .collect()
-    }
-
-    #[test]
-    fn window_one_matches_blocking_client() {
-        let s = server();
-        let urls = html_urls(&s, 24);
-        let mut client = crate::Client::new(&s, MimePolicy::default());
-        for u in &urls {
-            client.get(u);
-        }
-        client.head(&urls[0]);
-
-        let mut t = PipelinedTransport::new(&s, MimePolicy::default(), Politeness::default());
-        let mut out = Vec::new();
-        for u in &urls {
-            t.submit(Request::get(u));
-            t.poll_into(&mut out);
-            assert_eq!(out.len(), 1);
-        }
-        t.head(&urls[0]);
-        assert_eq!(t.traffic(), client.traffic(), "window 1 must replay the blocking client");
-    }
-
-    #[test]
-    fn gate_spaces_dispatches_and_transfers_overlap() {
-        let s = server();
-        let urls = html_urls(&s, 8);
-        let pol = Politeness { delay_secs: 1.0, bytes_per_sec: 1024.0 };
-
-        let mut serial = PipelinedTransport::new(&s, MimePolicy::default(), pol);
-        let mut out = Vec::new();
-        for u in &urls {
-            serial.submit(Request::get(u));
-            serial.poll_into(&mut out);
-        }
-        let serial_makespan = serial.traffic().elapsed_secs;
-
-        let mut wide =
-            PipelinedTransport::new(&s, MimePolicy::default(), pol).with_window(urls.len());
-        for u in &urls {
-            wide.submit(Request::get(u));
-        }
-        let mut delivered = 0;
-        while wide.in_flight() > 0 {
-            wide.poll_into(&mut out);
-            delivered += out.len();
-        }
-        assert_eq!(delivered, urls.len());
-        let wide_makespan = wide.traffic().elapsed_secs;
-
-        // The gate still spaces dispatches one politeness delay apart, so
-        // the makespan cannot drop below n·delay; overlapped transfers make
-        // it strictly better than serial.
-        assert!(wide_makespan >= urls.len() as f64 * pol.delay_secs - 1e-9);
-        assert!(
-            wide_makespan < serial_makespan,
-            "pipelining must beat serial: {wide_makespan} vs {serial_makespan}"
-        );
-        // And both ends moved the same volume.
-        assert_eq!(wide.traffic().requests(), serial.traffic().requests());
-        assert_eq!(wide.traffic().total_bytes(), serial.traffic().total_bytes());
-    }
-
-    #[test]
-    fn completion_order_is_arrival_then_id() {
-        let s = server();
-        let urls = html_urls(&s, 6);
-        let run = || {
-            let mut t = PipelinedTransport::new(
-                &s,
-                MimePolicy::default(),
-                Politeness { delay_secs: 0.5, bytes_per_sec: 2048.0 },
-            )
-            .with_window(6);
-            let ids: Vec<RequestId> = urls.iter().map(|u| t.submit(Request::get(u))).collect();
-            let mut order = Vec::new();
-            let mut out = Vec::new();
-            while t.in_flight() > 0 {
-                t.poll_into(&mut out);
-                order.extend(out.iter().map(|(id, _)| *id));
-            }
-            (ids, order)
-        };
-        let (ids_a, order_a) = run();
-        let (ids_b, order_b) = run();
-        assert_eq!(ids_a, ids_b);
-        assert_eq!(order_a, order_b, "completion order must be deterministic");
-        // With identical politeness per dispatch, arrivals are strictly
-        // increasing in dispatch order here; ids come back ascending.
-        let mut sorted = order_a.clone();
-        sorted.sort_unstable();
-        assert_eq!(order_a, sorted);
-    }
-
-    #[test]
-    fn retries_recover_transient_503s_and_charge_every_attempt() {
-        use crate::flaky::FlakyServer;
-        let site = build_site(&SiteSpec::demo(300), 5);
-        let urls: Vec<String> = site.pages().iter().map(|p| p.url.clone()).take(40).collect();
-        let flaky = FlakyServer::new(SiteServer::new(site), 0.4, 7).recoverable();
-
-        let mut t = PipelinedTransport::new(
-            &flaky,
-            MimePolicy::default(),
-            Politeness { delay_secs: 0.1, bytes_per_sec: 1e6 },
-        )
-        .with_window(4)
-        .with_retries(1);
-        let mut out = Vec::new();
-        let mut failures = 0;
-        let mut delivered = 0u64;
-        for chunk in urls.chunks(4) {
-            for u in chunk {
-                t.submit(Request::get(u));
-            }
-            while t.in_flight() > 0 {
-                t.poll_into(&mut out);
-                delivered += out.len() as u64;
-                failures += out.iter().filter(|(_, f)| f.status >= 500).count();
-            }
-        }
-        assert_eq!(failures, 0, "one retry recovers every transient 503");
-        assert!(flaky.injected() > 0, "failures were really injected");
-        assert_eq!(
-            t.traffic().get_requests,
-            delivered + flaky.injected(),
-            "every retried attempt must be charged"
-        );
-    }
-
-    #[test]
-    fn robots_crawl_delay_raises_the_gate() {
-        let s = server();
-        let urls = html_urls(&s, 5);
-        let host = super::host_of(&urls[0]).to_owned();
-        let pol = Politeness { delay_secs: 1.0, bytes_per_sec: 1e9 };
-
-        let makespan = |crawl_delay: Option<f64>| {
-            let mut t = PipelinedTransport::new(&s, MimePolicy::default(), pol).with_window(5);
-            if let Some(d) = crawl_delay {
-                let robots = RobotsTxt::parse(&format!("User-agent: *\nCrawl-delay: {d}"));
-                t.apply_crawl_delay(&robots, "sbcrawl", &host);
-            }
-            for u in &urls {
-                t.submit(Request::get(u));
-            }
-            let mut out = Vec::new();
-            while t.in_flight() > 0 {
-                t.poll_into(&mut out);
-            }
-            t.traffic().elapsed_secs
-        };
-
-        let plain = makespan(None);
-        let delayed = makespan(Some(4.0));
-        assert!(
-            delayed > plain * 3.0,
-            "a 4 s Crawl-delay must dominate the 1 s default: {plain} vs {delayed}"
-        );
     }
 
     #[test]

@@ -26,13 +26,17 @@
 //!   through a fill/drain cycle, and `tag_target` moves volume between
 //!   buckets without changing the total.
 //!
-//! Instantiated for [`PipelinedTransport`] (PR 4), for a single
-//! [`SharedTransportPool`] handle (PR 5), for a pool handle contending
-//! with a registered-but-idle sibling site — a handle's single-site
-//! behaviour must not depend on being the pool's only tenant — and (PR 8)
-//! for both pool-handle shapes round-tripped through a spawned thread
-//! before use: the pool backend is `Send`, and crossing a real thread
-//! boundary must not perturb a single invariant.
+//! Every instantiation drives the one backend, [`PoolHandle`], built five
+//! ways: as a lone handle (`PipelinedTransport::new(..).with_window(..)`,
+//! the `CrawlSession::new` path), as the single handle of a caller-built
+//! [`SharedTransportPool`], as a handle contending with a
+//! registered-but-idle sibling site — a handle's single-site behaviour
+//! must not depend on being the pool's only tenant — and (PR 8) both
+//! pool-built shapes round-tripped through a spawned thread before use:
+//! the backend is `Send`, and crossing a real thread boundary must not
+//! perturb a single invariant.
+//!
+//! [`PoolHandle`]: sb_httpsim::PoolHandle
 
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{

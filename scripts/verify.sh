@@ -8,6 +8,11 @@ cargo build --release --offline --workspace
 # Examples, benches and test binaries must stay compilable too.
 cargo build --offline --workspace --all-targets
 cargo test -q --offline --workspace
+# The benchmark is a workspace of its own that builds against the crates'
+# public API by path; build and test it here so an API break fails verify
+# instead of surfacing only when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # The zero-copy HTML pipeline must stay allocation-bounded (PR 3): the
 # counting-allocator guard pins tokenize+parse+extract of an entity-free
 # page to a handful of arena allocations. The workspace run above already
